@@ -32,6 +32,31 @@ the workload; tests and benchmarks can also drive rounds synchronously via
 the slowest of its exchanges (they are logically concurrent), sampled from
 the network's latency model; offline peers neither initiate nor receive.
 
+Summaries
+---------
+An exchange opens with a constant-size summary instead of a full
+``key -> version`` digest.  The key space is split into
+:data:`SUMMARY_BUCKETS` (64) buckets by a blake2b hash of the key, and every
+node keeps, per bucket, the XOR of a 128-bit blake2b hash of each
+``(key, version)`` it holds, plus a root XOR over all buckets.  XOR makes
+both incremental: an accepted :meth:`GossipNode.put` folds the old entry's
+hash out and the new one in, O(1), and nothing else touches them.  The
+summary costs O(buckets) per node; no per-bucket copy of the store exists.
+
+Equal roots end the exchange at once, so a converged plane's rounds do no
+per-entry work (``GossipStats.summary_skips`` counts these exchanges).
+Unequal roots name the buckets whose hashes differ, and only entries in
+those buckets are compared, a→b then b→a, in store order — the same entries
+move in the same order as a full-digest comparison would move them.
+
+Equal sets always give equal summaries.  Unequal sets give equal ones only
+if 128-bit XOR hashes collide, a chance near 2**-128 per comparison.  Such a
+miss would leave an entry unsent for one exchange; because gossip is
+advisory and the DHT record stays authoritative, that costs a fetch, never a
+wrong page.  An XOR summary is *not* tamper-resistant — a peer can craft
+entries that cancel out.  Defending the plane against such peers belongs to
+the Byzantine scenario plane (ROADMAP open item 4), not to this summary.
+
 Staleness and correctness
 -------------------------
 Gossip is *advisory*: the DHT record remains authoritative for every key
@@ -44,6 +69,8 @@ wrong answer (see the consuming modules for the per-key argument).
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -74,6 +101,23 @@ RANK_CEILING_PREFIX = "rv:"
 # of magnitude less often than the raw counter.
 LOAD_HINT_RESOLUTION = 4
 
+# Buckets of the per-node anti-entropy summary (see "Summaries" above).
+SUMMARY_BUCKETS = 64
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def summary_bucket(key: str) -> int:
+    """The summary bucket of ``key`` (stable across processes and seeds)."""
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % SUMMARY_BUCKETS
+
+
+def entry_hash(key: str, version: int) -> int:
+    """128-bit hash of one ``(key, version)`` fact, XOR-folded into summaries."""
+    # The version's digits cannot contain NUL, so the encoding is unambiguous.
+    data = b"%d\x00" % version + key.encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "big")
+
 
 def quantize_load(count: int, resolution: int = LOAD_HINT_RESOLUTION) -> int:
     """Round a served-block counter down to the hint grid (monotonic)."""
@@ -100,6 +144,8 @@ class GossipStats:
     messages: int = 0
     entries_sent: int = 0
     entries_accepted: int = 0
+    # Exchanges that ended on equal summary roots (no per-entry work).
+    summary_skips: int = 0
     # Rounds the most recent rounds_to_converge() call needed; -1 = never
     # measured (or did not converge within its budget).
     last_convergence_rounds: int = -1
@@ -110,15 +156,18 @@ class GossipStats:
         self.messages = 0
         self.entries_sent = 0
         self.entries_accepted = 0
+        self.summary_skips = 0
         self.last_convergence_rounds = -1
 
 
 class GossipNode:
-    """One peer's local store of versioned entries."""
+    """One peer's local store of versioned entries plus its XOR summary."""
 
     def __init__(self, address: str) -> None:
         self.address = address
         self._entries: Dict[str, GossipEntry] = {}
+        self._buckets: List[int] = [0] * SUMMARY_BUCKETS
+        self._root = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -151,13 +200,46 @@ class GossipNode:
         if current is not None and version <= current.version:
             return False
         self._entries[key] = GossipEntry(key=key, value=value, version=version)
+        change = entry_hash(key, version)
+        if current is not None:
+            change ^= entry_hash(key, current.version)
+        self._buckets[summary_bucket(key)] ^= change
+        self._root ^= change
         return True
 
     def entries(self) -> Iterable[GossipEntry]:
         return self._entries.values()
 
+    @property
+    def summary_root(self) -> int:
+        """XOR of every held ``(key, version)`` hash; equal stores, equal roots."""
+        return self._root
+
+    def newer_than(self, other: "GossipNode") -> List[GossipEntry]:
+        """This store's entries ``other`` should accept, in store order.
+
+        Only keys in buckets whose summaries differ are compared.  As with
+        the merge rule, a version must beat ``other``'s (0 when absent).
+        """
+        if self._root == other._root:
+            return []
+        differing = {
+            bucket
+            for bucket, (mine, theirs) in enumerate(zip(self._buckets, other._buckets))
+            if mine != theirs
+        }
+        held = other._entries
+        delta = []
+        # repro-lint: disable=RL004 -- store order is the exchange's send order (seeded)
+        for entry in self._entries.values():
+            if summary_bucket(entry.key) in differing:
+                current = held.get(entry.key)
+                if entry.version > (current.version if current is not None else 0):
+                    delta.append(entry)
+        return delta
+
     def digest(self) -> Dict[str, int]:
-        """``key -> version`` summary used to compare node states."""
+        """The full sorted ``key -> version`` map (tests and debugging)."""
         return {key: entry.version for key, entry in sorted(self._entries.items())}
 
     def snapshot(self) -> Dict[str, GossipEntry]:
@@ -404,17 +486,11 @@ class GossipPlane:
         self.stats.rounds += 1
         for hook in self._refresh_hooks:
             hook()
-        addresses = self.addresses()
+        online = [address for address in self.addresses() if self._online(address)]
         accepted = 0
         slowest = 0.0
-        for address in addresses:
-            if not self._online(address):
-                continue
-            peers = [
-                a
-                for a in addresses
-                if a != address and self._online(a) and self._reachable(address, a)
-            ]
+        for address in online:
+            peers = [a for a in online if a != address and self._reachable(address, a)]
             if not peers:
                 continue
             for peer in self._rng.sample(peers, min(self.fanout, len(peers))):
@@ -431,18 +507,19 @@ class GossipPlane:
     def _exchange(self, src: str, dst: str) -> int:
         """Push/pull reconciliation of two stores; returns entries accepted."""
         self.stats.exchanges += 1
-        # One digest each way plus one delta each way.
+        # One summary each way plus one (possibly empty) delta each way.
         self.stats.messages += 4
         a, b = self.node(src), self.node(dst)
+        if a.summary_root == b.summary_root:
+            self.stats.summary_skips += 1
+            return 0
         accepted = 0
         for source, sink in ((a, b), (b, a)):
-            sink_digest = sink.digest()
-            for entry in list(source.entries()):
-                if entry.version > sink_digest.get(entry.key, 0):
-                    self.stats.entries_sent += 1
-                    if sink.put(entry.key, entry.value, entry.version):
-                        accepted += 1
-                        self.stats.entries_accepted += 1
+            for entry in source.newer_than(sink):
+                self.stats.entries_sent += 1
+                if sink.put(entry.key, entry.value, entry.version):
+                    accepted += 1
+                    self.stats.entries_accepted += 1
         return accepted
 
     def run_rounds(self, count: int) -> int:
@@ -470,19 +547,18 @@ class GossipPlane:
     def converged(self) -> bool:
         """Whether every online node holds the same ``key -> version`` map.
 
-        Offline nodes are excluded: they cannot receive entries and would
-        keep churn-time convergence permanently false; they reconcile on
-        rejoin (the next rounds they participate in).
+        Compares summary roots, which are equal exactly when the maps are
+        (up to a 128-bit hash collision).  Offline nodes are excluded: they
+        cannot receive entries and would keep churn-time convergence
+        permanently false; they reconcile on rejoin (the next rounds they
+        participate in).
         """
-        digests = [
-            self._nodes[address].digest()
+        roots = {
+            self._nodes[address].summary_root
             for address in self.addresses()
             if self._online(address)
-        ]
-        if len(digests) < 2:
-            return True
-        first = digests[0]
-        return all(digest == first for digest in digests[1:])
+        }
+        return len(roots) <= 1
 
     def rounds_to_converge(self, max_rounds: int = 64) -> int:
         """Rounds of synchronous gossip until convergence (-1 = budget hit).

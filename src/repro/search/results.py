@@ -11,8 +11,11 @@ SERVED_RESULT_CACHE = "result_cache"  # fresh-keyed result-cache hit
 SERVED_DEGRADED = "degraded"          # stale result-cache replay under overload
 SERVED_SHED = "shed"                  # rejected by admission control
 
+# The response dataclasses are slotted: a serving run keeps every response
+# (``QueryService.responses``), so their per-instance size is resident memory.
 
-@dataclass
+
+@dataclass(slots=True)
 class ServingDiagnostics:
     """The structured serving envelope of one response.
 
@@ -46,7 +49,7 @@ class ServingDiagnostics:
         return self.served_from != SERVED_SHED
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     """One ranked hit."""
 
@@ -60,7 +63,7 @@ class SearchResult:
     snippet: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class AdPlacement:
     """One ad displayed next to the results."""
 
@@ -70,7 +73,7 @@ class AdPlacement:
     bid_per_click: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultPage:
     """Everything the frontend composes for one query."""
 

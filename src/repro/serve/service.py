@@ -106,7 +106,7 @@ class ServiceOptions:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ServedRequest:
     """One request's lifecycle, resolved when ``page`` is set."""
 

@@ -8,6 +8,9 @@ Covers the properties the plane exists for:
   within a small, bounded number of rounds under the default fanout;
 * monotonicity — entries never regress to older versions, no matter the
   merge order;
+* summaries — the bucketed XOR-summary exchange moves exactly what a full
+  ``key -> version`` digest comparison moves, and a converged plane's
+  rounds do no per-entry work;
 * independence — a ``SearchFrontend`` holding no reference to the engine's
   in-process epoch registry, rank vector, or peer counters serves top-k
   pages bit-identical to the shared-plane frontend;
@@ -17,11 +20,22 @@ Covers the properties the plane exists for:
 
 from __future__ import annotations
 
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import QueenBeeConfig
 from repro.core.engine import QueenBeeEngine
-from repro.net.gossip import EPOCH_PREFIX, GossipPlane, GossipView, quantize_load
+from repro.net.gossip import (
+    EPOCH_PREFIX,
+    GossipNode,
+    GossipPlane,
+    GossipView,
+    entry_hash,
+    quantize_load,
+)
 from repro.sim.simulator import Simulator
 from repro.workloads.corpus import CorpusGenerator
 from repro.workloads.queries import QueryWorkloadGenerator
@@ -86,6 +100,82 @@ class TestGossipNode:
         assert buckets == sorted(buckets)
         assert len(set(buckets)) < 64, "quantization must actually coarsen"
         assert quantize_load(0) == 0
+
+
+def full_digest_exchange(a: GossipNode, b: GossipNode):
+    """Reference push/pull: ship every entry newer than the sink's full digest."""
+    sent = accepted = 0
+    for source, sink in ((a, b), (b, a)):
+        sink_digest = sink.digest()
+        for entry in list(source.entries()):
+            if entry.version > sink_digest.get(entry.key, 0):
+                sent += 1
+                accepted += sink.put(entry.key, entry.value, entry.version)
+    return sent, accepted
+
+
+def store_contents(node: GossipNode):
+    return [(entry.key, entry.value, entry.version) for entry in node.entries()]
+
+
+SHARED_KEYS = [f"epoch:s{i}" for i in range(6)]
+# A put history: (key, version) merges in order; non-increasing ones are
+# rejected, increasing ones replace (exercising the summary's fold-out).
+histories = {
+    side: st.lists(
+        st.tuples(
+            st.sampled_from(SHARED_KEYS + [f"load:{side}{i}" for i in range(4)]),
+            st.integers(min_value=0, max_value=6),
+        ),
+        max_size=24,
+    )
+    for side in ("a", "b")
+}
+
+
+class TestSummaryExchange:
+    @settings(max_examples=150, deadline=None)
+    @given(histories["a"], histories["b"], st.booleans())
+    def test_summary_exchange_matches_full_digest_exchange(self, history_a, history_b, mirror):
+        if mirror:
+            history_b = list(history_a)
+        plane = bare_plane(2)
+        a, b = plane.node("peer-000:store"), plane.node("peer-001:store")
+        ref_a, ref_b = GossipNode("ref-a"), GossipNode("ref-b")
+        for history, nodes, side in ((history_a, (a, ref_a), "a"), (history_b, (b, ref_b), "b")):
+            for key, version in history:
+                for node in nodes:
+                    node.put(key, (side, version), version)
+        for node in (a, b):
+            folded = reduce(
+                lambda acc, entry: acc ^ entry_hash(entry.key, entry.version), node.entries(), 0
+            )
+            assert node.summary_root == folded
+        equal_before = a.digest() == b.digest()
+        assert (a.summary_root == b.summary_root) == equal_before
+
+        accepted = plane._exchange(a.address, b.address)
+        sent, ref_accepted = full_digest_exchange(ref_a, ref_b)
+
+        assert store_contents(a) == store_contents(ref_a)
+        assert store_contents(b) == store_contents(ref_b)
+        assert plane.stats.entries_sent == sent
+        assert plane.stats.entries_accepted == accepted == ref_accepted
+        assert (a.summary_root == b.summary_root) == (a.digest() == b.digest())
+        assert plane.stats.summary_skips == int(equal_before)
+
+    def test_converged_rounds_do_no_per_entry_work(self):
+        plane = bare_plane(256, seed=3)
+        addresses = plane.addresses()
+        for i in range(1000):
+            plane.publish(addresses[i % len(addresses)], f"epoch:k{i:04d}", i, i + 1)
+        assert plane.rounds_to_converge(max_rounds=32) > 0
+        before = (plane.stats.exchanges, plane.stats.summary_skips, plane.stats.entries_sent)
+        plane.run_round()
+        exchanges = plane.stats.exchanges - before[0]
+        assert exchanges == 256 * plane.fanout
+        assert plane.stats.summary_skips - before[1] == exchanges
+        assert plane.stats.entries_sent == before[2]
 
 
 class TestPropagation:
